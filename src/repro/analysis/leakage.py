@@ -170,7 +170,12 @@ VERB_CONTRACTS: dict[str, LeakageContract] = dict(
     [
         _verb("create_table", "schema shape (names, kinds, widths)"),
         _verb("bulk_load", "ciphertext partition sizes and counts"),
-        _verb("execute_select", "result frame byte size; encrypted rows"),
+        _verb(
+            "execute_select",
+            "result frame byte size; per column the distinct-ciphertext "
+            "count plus row codes — a deterministic re-encoding of the "
+            "row-order blobs",
+        ),
         _verb(
             "execute_select_pushdown",
             "padded group-frame count and uniform frame size (see "
@@ -181,7 +186,12 @@ VERB_CONTRACTS: dict[str, LeakageContract] = dict(
             "plan routing text — operator names and cost classes only, "
             "never values",
         ),
-        _verb("execute_join_select", "joined result frame byte size"),
+        _verb(
+            "execute_join_select",
+            "joined result frame byte size; per column the "
+            "distinct-ciphertext count plus row codes — a deterministic "
+            "re-encoding of the row-order blobs",
+        ),
         _verb("execute_insert", "one ack; delta append count"),
         _verb("execute_delete", "deleted-row count"),
         _verb("delete_record_ids", "deleted-row count"),

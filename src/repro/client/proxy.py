@@ -11,7 +11,8 @@ transparent to the application.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from itertools import islice
+from typing import TYPE_CHECKING
 
 from repro.columnstore.catalog import Catalog
 from repro.columnstore.types import ColumnSpec, ValueType
@@ -255,8 +256,11 @@ class Proxy:
         if self._pushdown_enabled and pushdown is not None:
             return self._execute_select_pushdown(plan, encrypted_plan, pushdown)
         server_result = self._server.execute_select(encrypted_plan)
-        rows = self._decrypt_rows(plan.table, plan.needed_columns, server_result)
-        return self._post_process(plan.post, rows)
+        return self._post_process(
+            plan.post,
+            self._decrypt_result_columns(server_result),
+            server_result.row_count,
+        )
 
     def _execute_select_pushdown(
         self, plan: SelectPlan, encrypted_plan: SelectPlan, pushdown
@@ -272,12 +276,17 @@ class Proxy:
         result = pushdown(encrypted_plan)
         self.last_pushdown = tuple(result.decisions)
         if result.aggregate is not None:
-            rows = self._merge_aggregate_frames(plan, result.aggregate)
-            return self._finish_rows(plan.post, rows)
-        rows = self._decrypt_rows(plan.table, plan.needed_columns, result.rows)
-        return self._post_process(plan.post, rows)
+            columns = self._merge_aggregate_frames(plan, result.aggregate)
+            return self._finish_rows(plan.post, columns)
+        return self._post_process(
+            plan.post,
+            self._decrypt_result_columns(result.rows),
+            result.rows.row_count,
+        )
 
-    def _merge_aggregate_frames(self, plan: SelectPlan, aggregate) -> list[dict]:
+    def _merge_aggregate_frames(
+        self, plan: SelectPlan, aggregate
+    ) -> dict[str, list]:
         """Decrypt padded group frames and merge partial aggregate states.
 
         Frames arrive PAE-encrypted under the dedicated aggregate transit
@@ -327,20 +336,22 @@ class Proxy:
                 .spec(aggregate.group_column)
                 .value_type
             )
-        rows: list[dict] = []
-        for key_bytes, states in merged.items():
-            row: dict[str, Any] = {}
-            if group_type is not None:
-                row[aggregate.group_column] = group_type.from_bytes(key_bytes)
-            for item, (present, a, b) in zip(aggs, states):
+        columns: dict[str, list] = {}
+        if group_type is not None:
+            columns[aggregate.group_column] = [
+                group_type.from_bytes(key_bytes) for key_bytes in merged
+            ]
+        for position, item in enumerate(aggs):
+            cells = columns[item.label] = []
+            for states in merged.values():
+                present, a, b = states[position]
                 if not present:
-                    row[item.label] = None
+                    cells.append(None)
                 elif item.function == "AVG":
-                    row[item.label] = a / b if b else None
+                    cells.append(a / b if b else None)
                 else:
-                    row[item.label] = a
-            rows.append(row)
-        return rows
+                    cells.append(a)
+        return columns
 
     def _execute_join_select(self, plan: JoinSelectPlan) -> QueryResult:
         encrypted_plan = JoinSelectPlan(
@@ -357,13 +368,11 @@ class Proxy:
         # Fresh per-query salt: join tokens are unlinkable across queries.
         salt = self._salt_rng.random_bytes(16)
         server_result = self._server.execute_join_select(encrypted_plan, salt)
-        decrypted = self._decrypt_result_columns(server_result)
-        names = list(decrypted)
-        rows = [
-            {name: decrypted[name][i] for name in names}
-            for i in range(server_result.row_count)
-        ]
-        return self._post_process(plan.post, rows)
+        return self._post_process(
+            plan.post,
+            self._decrypt_result_columns(server_result),
+            server_result.row_count,
+        )
 
     def _execute_update(self, plan: UpdatePlan) -> int:
         """UPDATE = read the matching rows, invalidate them, re-insert."""
@@ -375,16 +384,16 @@ class Proxy:
             PostProcessing(items=tuple(table.column_names)),
         )
         server_result = self._server.execute_select(read_plan)
-        rows = self._decrypt_rows(plan.table, tuple(table.column_names), server_result)
-        if not rows:
+        if not server_result.row_count:
             return 0
+        columns = self._decrypt_result_columns(server_result)
         self._server.delete_record_ids(
             plan.table, server_result.record_ids
         )
         assignments = dict(plan.assignments)
         new_rows = []
-        for row in rows:
-            updated = dict(row)
+        for cells in zip(*(columns[name] for name in table.column_names)):
+            updated = dict(zip(table.column_names, cells))
             updated.update(assignments)
             new_rows.append(self._prepare_row(plan.table, updated))
         self._server.execute_insert(plan.table, new_rows)
@@ -463,105 +472,99 @@ class Proxy:
     # ------------------------------------------------------------------
     # Result decryption and rendering (paper §4.2 step 14)
     # ------------------------------------------------------------------
-    def _decrypt_rows(
-        self, table_name: str, needed: tuple[str, ...], result: ServerResult
-    ) -> list[dict]:
-        decrypted = self._decrypt_result_columns(result)
-        return [
-            {name: decrypted[name][i] for name in needed}
-            for i in range(result.row_count)
-        ]
-
     def _decrypt_result_columns(self, result: ServerResult) -> dict[str, list]:
         """Decrypt every returned column using its attached metadata
         (paper §4.2 step 14: the proxy derives each column's key from the
-        table/column names the result renderer attached)."""
+        table/column names the result renderer attached).
+
+        Each distinct blob is decrypted once and the plaintexts are expanded
+        to rows by the column's codes.
+        """
         decrypted: dict[str, list] = {}
         for key_name, column in result.columns.items():
+            if len(column) != result.row_count:
+                raise QueryError(
+                    f"result column {key_name!r} has {len(column)} rows, "
+                    f"expected {result.row_count}"
+                )
+            values = column.values
             if column.encrypted:
                 key = self._column_key(
-                    column.table_name,
-                    column.column_name,
-                    getattr(column, "key_epoch", 0),
+                    column.table_name, column.column_name, column.key_epoch
                 )
-                value_type = (
+                from_bytes = (
                     self._schema.table(column.table_name)
                     .spec(column.column_name)
-                    .value_type
+                    .value_type.from_bytes
                 )
-                decrypted[key_name] = [
-                    value_type.from_bytes(self._pae.decrypt(key, blob))
-                    for blob in column.data
-                ]
-            else:
-                decrypted[key_name] = list(column.data)
+                decrypt = self._pae.decrypt
+                values = [from_bytes(decrypt(key, blob)) for blob in values]
+            decrypted[key_name] = column.expand(values)
         return decrypted
 
-    def _post_process(self, post: PostProcessing, rows: list[dict]) -> QueryResult:
+    def _post_process(
+        self, post: PostProcessing, columns: dict[str, list], row_count: int
+    ) -> QueryResult:
         if post.group_by:
-            rows = self._group(post, rows)
+            columns = self._group(post, columns)
         elif post.has_aggregates:
-            rows = [
-                {
-                    item.label: _aggregate(item, rows)
-                    for item in post.items
-                    if isinstance(item, Aggregate)
-                }
-            ]
-        return self._finish_rows(post, rows)
+            rows = range(row_count)
+            columns = {
+                item.label: [_aggregate(item, columns, rows)]
+                for item in post.items
+                if isinstance(item, Aggregate)
+            }
+        return self._finish_rows(post, columns)
 
-    def _finish_rows(self, post: PostProcessing, rows: list[dict]) -> QueryResult:
-        """Shared post-processing tail: ORDER BY, projection, DISTINCT,
-        LIMIT. Both the reference path (after proxy-side grouping) and the
-        pushdown path (after frame merging) end here, pinning the
-        post-processing order to one implementation."""
-        if post.order_by:
-            for order in reversed(post.order_by):
-                rows = sorted(
-                    rows, key=lambda row: row[order.column], reverse=order.descending
-                )
+    def _finish_rows(
+        self, post: PostProcessing, columns: dict[str, list]
+    ) -> QueryResult:
+        """Shared post-processing tail over equal-length columns: ORDER BY,
+        projection, DISTINCT, LIMIT. Both the reference path (after
+        proxy-side grouping) and the pushdown path (after frame merging) end
+        here, pinning the post-processing order to one implementation."""
         column_names = [
             item.label if isinstance(item, Aggregate) else item for item in post.items
         ]
-        projected = [
-            tuple(row[name] for name in column_names) for row in rows
-        ]
+        projected = [columns[name] for name in column_names]
+        if post.order_by:
+            # Stable sorts from the last key to the first: ties keep the
+            # order of the earlier keys, then row order.
+            order = list(range(len(next(iter(columns.values()), ()))))
+            for item in reversed(post.order_by):
+                order.sort(
+                    key=columns[item.column].__getitem__, reverse=item.descending
+                )
+            projected = [list(map(cells.__getitem__, order)) for cells in projected]
+        rows = zip(*projected)
         if post.distinct:
-            seen = set()
-            unique_rows = []
-            for row in projected:
-                if row not in seen:
-                    seen.add(row)
-                    unique_rows.append(row)
-            projected = unique_rows
-        if post.limit is not None:
-            projected = projected[: post.limit]
-        return QueryResult(column_names, projected)
+            rows = dict.fromkeys(rows)
+        return QueryResult(column_names, list(islice(rows, post.limit)))
 
-    def _group(self, post: PostProcessing, rows: list[dict]) -> list[dict]:
-        groups: dict[tuple, list[dict]] = {}
-        order: list[tuple] = []
-        for row in rows:
-            group_key = tuple(row[name] for name in post.group_by)
-            if group_key not in groups:
-                groups[group_key] = []
-                order.append(group_key)
-            groups[group_key].append(row)
-        rendered = []
-        for group_key in order:
-            members = groups[group_key]
-            out: dict[str, Any] = dict(zip(post.group_by, group_key))
-            for item in post.items:
-                if isinstance(item, Aggregate):
-                    out[item.label] = _aggregate(item, members)
-            rendered.append(out)
-        return rendered
+    def _group(
+        self, post: PostProcessing, columns: dict[str, list]
+    ) -> dict[str, list]:
+        groups: dict[tuple, list[int]] = {}
+        keys = zip(*(columns[name] for name in post.group_by))
+        for row, group_key in enumerate(keys):
+            groups.setdefault(group_key, []).append(row)
+        grouped = {
+            name: [group_key[position] for group_key in groups]
+            for position, name in enumerate(post.group_by)
+        }
+        for item in post.items:
+            if isinstance(item, Aggregate):
+                grouped[item.label] = [
+                    _aggregate(item, columns, members) for members in groups.values()
+                ]
+        return grouped
 
 
-def _aggregate(item: Aggregate, rows: list[dict]):
+def _aggregate(item: Aggregate, columns: dict[str, list], rows):
+    """``item`` over the rows ``rows`` (a sequence of row indices)."""
     if item.function == "COUNT":
         return len(rows)
-    values = [row[item.column] for row in rows]
+    values = list(map(columns[item.column].__getitem__, rows))
     if not values:
         return None
     if item.function == "SUM":

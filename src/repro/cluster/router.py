@@ -49,6 +49,7 @@ from repro.sql.result import (
     ResultColumn,
     RoutingDecision,
     ServerResult,
+    code_dtype,
 )
 
 
@@ -618,30 +619,44 @@ class ClusterRouter:
         rebase shard-local RecordIDs by the span's ``row_base``."""
         record_ids: list[np.ndarray] = []
         columns: dict[str, ResultColumn] = {}
+        codes: dict[str, list[np.ndarray]] = {}
+        coded: set[str] = set()
         for span, result in zip(spans, results):
             rebased = np.asarray(result.record_ids, dtype=np.int64)
             record_ids.append(rebased + span.row_base)
             for name, column in result.columns.items():
                 merged = columns.get(name)
                 if merged is None:
-                    columns[name] = ResultColumn(
+                    merged = columns[name] = ResultColumn(
                         column.table_name,
                         column.column_name,
                         column.encrypted,
-                        list(column.data),
-                        key_epoch=getattr(column, "key_epoch", 0),
+                        [],
+                        key_epoch=column.key_epoch,
                     )
+                    codes[name] = []
+                elif column.key_epoch != merged.key_epoch:
+                    # Shards rotate independently; a scatter that lands
+                    # mid-flip on one shard would need per-span epochs.
+                    # Refuse rather than hand the proxy undecryptable
+                    # blobs under one stamped epoch.
+                    raise ClusterError(
+                        f"column {name!r}: shards answered with mixed "
+                        "key epochs; retry after the rotation settles"
+                    )
+                # Concatenate the shards' value lists; each shard's codes
+                # shift by the values before it (None = one value per row).
+                offset = len(merged.values)
+                merged.values.extend(column.values)
+                if column.codes is None:
+                    codes[name].append(np.arange(offset, len(merged.values)))
                 else:
-                    if getattr(column, "key_epoch", 0) != merged.key_epoch:
-                        # Shards rotate independently; a scatter that lands
-                        # mid-flip on one shard would need per-span epochs.
-                        # Refuse rather than hand the proxy undecryptable
-                        # blobs under one stamped epoch.
-                        raise ClusterError(
-                            f"column {name!r}: shards answered with mixed "
-                            "key epochs; retry after the rotation settles"
-                        )
-                    merged.data.extend(column.data)
+                    codes[name].append(np.asarray(column.codes, dtype=np.int64) + offset)
+                    coded.add(name)
+        for name in coded:
+            columns[name].codes = np.concatenate(codes[name]).astype(
+                code_dtype(len(columns[name].values))
+            )
         merged_ids = (
             np.concatenate(record_ids)
             if record_ids

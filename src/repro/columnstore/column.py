@@ -634,60 +634,13 @@ class EncryptedStoredColumn:
         with self._shadow_lock:
             return list(self.partition_builds), list(self.delta_blobs), self.key_epoch
 
-    def blob_at(
-        self,
-        record_id: int,
-        builds: Sequence[BuildResult] | None = None,
-        delta_blobs: Sequence[bytes] | None = None,
-    ) -> bytes:
-        """Tuple reconstruction: the PAE blob of one global RecordID.
-
-        ``builds`` / ``delta_blobs`` pin the lookup to a
-        :meth:`render_view` (or :meth:`partition_snapshot`) so a multi-row
-        render never mixes partition versions (and thus key epochs) while an
-        online rotation swaps partitions underneath it.
-        """
-        if builds is None:
-            builds = self.partition_builds
-        if delta_blobs is None:
-            delta_blobs = self.delta_blobs
-        main_length = sum(len(build.attribute_vector) for build in builds)
-        if record_id < main_length:
-            start = 0
-            for build in builds:
-                if record_id < start + len(build.attribute_vector):
-                    vid = int(build.attribute_vector[record_id - start])
-                    return build.dictionary.entry(vid)
-                start += len(build.attribute_vector)
-        delta_index = record_id - main_length
-        if delta_index >= len(delta_blobs):
-            raise QueryError(f"RecordID {record_id} out of range")
-        return delta_blobs[delta_index]
-
     def partition_blobs(
         self, index: int, keep: np.ndarray | None = None
     ) -> list[bytes]:
         """Row-order blobs of one main partition (``keep`` masks survivors)."""
         build = self.partition_builds[index]
-        dictionary = build.dictionary
-        return [
-            dictionary.entry(int(vid))
-            for offset, vid in enumerate(build.attribute_vector)
-            if keep is None or keep[offset]
-        ]
-
-    def all_blobs_in_row_order(self, valid: np.ndarray) -> list[bytes]:
-        """Surviving row blobs, for the enclave's merge rebuild."""
-        return [
-            self.blob_at(record_id)
-            for record_id in range(len(self))
-            if valid[record_id]
-        ]
-
-    def replace_main(self, build: BuildResult) -> None:
-        """Install the enclave's merge output and clear the delta store."""
-        self.set_partitions([build])
-        self.delta_blobs = []
+        vids = build.attribute_vector
+        return build.dictionary.entries_at(vids if keep is None else vids[keep])
 
     # -- online rotation (repro.migrate) ---------------------------------
     @property

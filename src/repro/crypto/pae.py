@@ -35,6 +35,7 @@ from repro.crypto.gcm import AesGcm
 from repro.exceptions import AuthenticationError, CryptoError
 
 try:  # pragma: no cover - availability depends on the environment
+    from cryptography.exceptions import InvalidTag
     from cryptography.hazmat.primitives.ciphers.aead import AESGCM as _LibAesGcm
 except ImportError:  # pragma: no cover
     _LibAesGcm = None
@@ -154,10 +155,7 @@ class Pae(ABC):
         if len(blob) < PAE_OVERHEAD_BYTES:
             raise AuthenticationError("ciphertext too short to be authentic")
         self.add_operation_counts(decrypts=1)
-        iv = blob[:PAE_NONCE_BYTES]
-        ciphertext = blob[PAE_NONCE_BYTES:-PAE_TAG_BYTES]
-        tag = blob[-PAE_TAG_BYTES:]
-        return self._open(key, iv, ciphertext, tag, aad)
+        return self._open(key, blob, aad)
 
     def decrypt_many(
         self, key: bytes, blobs: Sequence[bytes], aad: bytes = b""
@@ -188,10 +186,9 @@ class Pae(ABC):
         """Return ``(ciphertext, tag)``."""
 
     @abstractmethod
-    def _open(
-        self, key: bytes, iv: bytes, ciphertext: bytes, tag: bytes, aad: bytes
-    ) -> bytes:
-        """Verify and decrypt; raise :class:`AuthenticationError` on failure."""
+    def _open(self, key: bytes, blob: bytes, aad: bytes) -> bytes:
+        """Verify and decrypt one IV||ct||tag blob; raise
+        :class:`AuthenticationError` on failure."""
 
     def _seal_batch(
         self,
@@ -210,16 +207,7 @@ class Pae(ABC):
         self, key: bytes, blobs: Sequence[bytes], aad: bytes
     ) -> list[bytes]:
         """Open a batch; backends override to reuse one cipher context."""
-        return [
-            self._open(
-                key,
-                blob[:PAE_NONCE_BYTES],
-                blob[PAE_NONCE_BYTES:-PAE_TAG_BYTES],
-                blob[-PAE_TAG_BYTES:],
-                aad,
-            )
-            for blob in blobs
-        ]
+        return [self._open(key, blob, aad) for blob in blobs]
 
 
 class PurePythonPae(Pae):
@@ -246,8 +234,13 @@ class PurePythonPae(Pae):
     def _seal(self, key, iv, plaintext, aad):
         return self._gcm(key).encrypt(iv, plaintext, aad)
 
-    def _open(self, key, iv, ciphertext, tag, aad):
-        return self._gcm(key).decrypt(iv, ciphertext, tag, aad)
+    def _open(self, key, blob, aad):
+        return self._gcm(key).decrypt(
+            blob[:PAE_NONCE_BYTES],
+            blob[PAE_NONCE_BYTES:-PAE_TAG_BYTES],
+            blob[-PAE_TAG_BYTES:],
+            aad,
+        )
 
     def _seal_batch(self, key, ivs, plaintexts, aad):
         # One cache-lock acquisition and key-schedule lookup per batch.
@@ -287,6 +280,11 @@ class LibraryPae(Pae):
         self._aead_cache: dict[bytes, object] = {}  # guarded-by: self._cache_lock
 
     def _aead(self, key: bytes):
+        # Hits skip the lock: a dict lookup is atomic under the interpreter
+        # lock, and a concurrent clear() only turns a hit into a miss.
+        aead = self._aead_cache.get(key)
+        if aead is not None:
+            return aead
         with self._cache_lock:
             aead = self._aead_cache.get(key)
             if aead is None:
@@ -300,10 +298,23 @@ class LibraryPae(Pae):
         blob = self._aead(key).encrypt(iv, plaintext, aad)
         return blob[:-PAE_TAG_BYTES], blob[-PAE_TAG_BYTES:]
 
-    def _open(self, key, iv, ciphertext, tag, aad):
+    def _open(self, key, blob, aad):
+        # AESGCM takes ciphertext||tag as one buffer: the blob after its IV.
         try:
-            return self._aead(key).decrypt(iv, ciphertext + tag, aad)
-        except Exception as exc:
+            return self._aead(key).decrypt(
+                blob[:PAE_NONCE_BYTES], blob[PAE_NONCE_BYTES:], aad
+            )
+        except InvalidTag as exc:
+            raise AuthenticationError("GCM tag verification failed") from exc
+
+    def _open_batch(self, key, blobs, aad):
+        decrypt = self._aead(key).decrypt
+        try:
+            return [
+                decrypt(blob[:PAE_NONCE_BYTES], blob[PAE_NONCE_BYTES:], aad)
+                for blob in blobs
+            ]
+        except InvalidTag as exc:
             raise AuthenticationError("GCM tag verification failed") from exc
 
 

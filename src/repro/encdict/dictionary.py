@@ -55,9 +55,6 @@ class EncryptedDictionary:
     #: Like ``partition_id`` this is server-side bookkeeping and is not
     #: registered on the wire — owner-shipped builds are always epoch 0.
     key_epoch: int = 0
-    #: Number of attribute-vector entries this dictionary serves; only used
-    #: for storage accounting of the packed ValueID width.
-    load_count: int = field(default=0, repr=False)
     #: Lazily materialized ``offsets.tolist()``: plain-int indexing is far
     #: cheaper than numpy scalar indexing on the per-probe hot path.
     _offsets_list: list | None = field(default=None, repr=False, compare=False)
@@ -101,8 +98,20 @@ class EncryptedDictionary:
             offsets = self._offsets_list = self.offsets.tolist()
         if not 0 <= index < len(offsets) - 1:
             raise IndexError(f"dictionary index {index} out of range 0..{len(self)-1}")
-        self.load_count += 1
         return self.tail[offsets[index]:offsets[index + 1]]
+
+    def entries_at(self, indices: np.ndarray) -> list[bytes]:
+        """The raw blobs of the entries ``indices``, in that order."""
+        indices = np.asarray(indices, dtype=np.int64)
+        if len(indices) and (indices.min() < 0 or indices.max() >= len(self)):
+            raise IndexError(f"dictionary index out of range 0..{len(self)-1}")
+        tail = self.tail
+        return [
+            tail[start:end]
+            for start, end in zip(
+                self.offsets[indices].tolist(), self.offsets[indices + 1].tolist()
+            )
+        ]
 
     def entries(self) -> Iterator[bytes]:
         """Iterate over all blobs (used by the linear unsorted search)."""

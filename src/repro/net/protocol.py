@@ -54,6 +54,7 @@ from repro.sql.result import (
     ResultColumn,
     RoutingDecision,
     ServerResult,
+    code_dtype,
 )
 
 PROTOCOL_VERSION = 1
@@ -190,11 +191,126 @@ _register(MergePlan, ("table",))
 # Results (ciphertext columns + metadata, paper §4.2 step 13) -----------------
 # ``key_epoch`` rides along so the proxy can derive the storage-epoch column
 # key after an online key rotation (repro.migrate) finalizes.
+_RESULT_COLUMN_FIELDS = (
+    "table_name",
+    "column_name",
+    "encrypted",
+    "values",
+    "codes",
+    "key_epoch",
+)
+
+
+def _encode_result_column(column: ResultColumn) -> dict:
+    """Encrypted values travel packed: one ``uint32`` length per distinct
+    blob plus the concatenated blobs; codes in the narrowest unsigned dtype."""
+    values: Any = list(column.values)
+    codes = column.codes
+    if codes is not None:
+        codes = np.asarray(codes).astype(code_dtype(len(values)))
+    if column.encrypted:
+        lengths = np.fromiter(map(len, values), dtype=np.uint32, count=len(values))
+        values = (lengths, b"".join(values))
+    return {
+        "table_name": column.table_name,
+        "column_name": column.column_name,
+        "encrypted": column.encrypted,
+        "values": values,
+        "codes": codes,
+        "key_epoch": column.key_epoch,
+    }
+
+
+def _decode_result_column(fields: dict) -> ResultColumn:
+    encrypted, values, codes = fields["encrypted"], fields["values"], fields["codes"]
+    if not isinstance(encrypted, bool):
+        raise ProtocolError("result column 'encrypted' is not a bool")
+    if encrypted:
+        if not (isinstance(values, tuple) and len(values) == 2):
+            raise ProtocolError("encrypted result values are not (lengths, tail)")
+        lengths, tail = values
+        if not (
+            isinstance(lengths, np.ndarray)
+            and lengths.dtype == np.uint32
+            and lengths.ndim == 1
+        ):
+            raise ProtocolError("result blob lengths are not a 1-D uint32 array")
+        if not isinstance(tail, bytes):
+            raise ProtocolError("result blob tail is not bytes")
+        ends = np.cumsum(lengths, dtype=np.int64)
+        if (ends[-1] if len(ends) else 0) != len(tail):
+            raise ProtocolError("result blob lengths do not sum to the tail size")
+        starts = ends - lengths
+        values = [
+            tail[start:end] for start, end in zip(starts.tolist(), ends.tolist())
+        ]
+    elif not isinstance(values, list):
+        raise ProtocolError("plaintext result values are not a list")
+    if codes is not None:
+        if not (
+            isinstance(codes, np.ndarray)
+            and codes.ndim == 1
+            and codes.dtype.kind == "u"
+        ):
+            raise ProtocolError("result codes are not a 1-D unsigned array")
+        if len(codes) and int(codes.max()) >= len(values):
+            raise ProtocolError("result code out of range")
+    return ResultColumn(
+        fields["table_name"],
+        fields["column_name"],
+        encrypted,
+        values,
+        codes,
+        fields["key_epoch"],
+    )
+
+
+def _encode_server_result(result: ServerResult) -> dict:
+    """RecordIDs travel as ``uint32`` when they fit; decoding widens them
+    back to ``int64``, the only dtype consumers see."""
+    record_ids = np.asarray(result.record_ids, dtype=np.int64)
+    if not len(record_ids) or (
+        record_ids.min() >= 0 and record_ids.max() <= np.iinfo(np.uint32).max
+    ):
+        record_ids = record_ids.astype(np.uint32)
+    return {
+        "table_name": result.table_name,
+        "record_ids": record_ids,
+        "columns": result.columns,
+    }
+
+
+def _decode_server_result(fields: dict) -> ServerResult:
+    record_ids = fields["record_ids"]
+    if not (
+        isinstance(record_ids, np.ndarray)
+        and record_ids.ndim == 1
+        and record_ids.dtype in (np.uint32, np.int64)
+    ):
+        raise ProtocolError("record ids are not a 1-D uint32/int64 array")
+    columns = fields["columns"]
+    if not (
+        isinstance(columns, dict)
+        and all(isinstance(column, ResultColumn) for column in columns.values())
+    ):
+        raise ProtocolError("server result columns are not result columns")
+    return ServerResult(
+        fields["table_name"], record_ids.astype(np.int64), fields["columns"]
+    )
+
+
 _register(
     ResultColumn,
-    ("table_name", "column_name", "encrypted", "data", "key_epoch"),
+    _RESULT_COLUMN_FIELDS,
+    encode=_encode_result_column,
+    decode=_decode_result_column,
 )
-_register(ServerResult, ("table_name", "record_ids", "columns"))
+_register(
+    ServerResult,
+    ("table_name", "record_ids", "columns"),
+    encode=_encode_server_result,
+    decode=_decode_server_result,
+)
 
 # Analytics pushdown (PR 9): routing decisions are public plan metadata;
 # aggregate results travel as padded, PAE-encrypted group frames — the
@@ -394,7 +510,10 @@ class _Decoder:
         return count
 
     def _str(self) -> str:
-        return bytes(self._take(self._u32())).decode("utf-8")
+        try:
+            return bytes(self._take(self._u32())).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ProtocolError("string is not valid UTF-8") from None
 
     def value(self, depth: int = 0) -> Any:
         if depth > _MAX_DEPTH:
@@ -422,10 +541,13 @@ class _Decoder:
         if tag == _T_TUPLE:
             return tuple(self.value(depth + 1) for _ in range(self._count()))
         if tag == _T_DICT:
-            return {
-                self.value(depth + 1): self.value(depth + 1)
-                for _ in range(self._count())
-            }
+            try:
+                return {
+                    self.value(depth + 1): self.value(depth + 1)
+                    for _ in range(self._count())
+                }
+            except TypeError:
+                raise ProtocolError("unhashable dict key") from None
         if tag == _T_NDARRAY:
             try:
                 dtype = np.dtype(self._str())

@@ -11,7 +11,7 @@ steps 6-13).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from repro.sql.result import (
     ResultColumn,
     RoutingDecision,
     ServerResult,
+    code_dtype,
 )
 
 
@@ -124,6 +125,69 @@ def _assemble_segments(
             {"group": group_ref, "rows": rows, "measures": measures}
         )
     return assembled
+
+
+def _dictionary_encode(
+    record_ids: np.ndarray,
+    attribute_vectors: Sequence[np.ndarray],
+    dictionary_sizes: Sequence[int],
+    delta_rows: int,
+    fetch: Callable[[int, np.ndarray], list],
+) -> tuple[list, np.ndarray | None]:
+    """Dictionary-encode the rows ``record_ids`` of one column snapshot.
+
+    Stores are the main partitions in order, then the delta store at index
+    ``len(attribute_vectors)``. Main row ``r`` of store ``s`` holds entry
+    ``attribute_vectors[s][r]`` of that store's dictionary; every delta row
+    is its own entry. ``fetch(s, entries)`` returns the values of entries of
+    store ``s``. Returns ``(values, codes)``: the distinct values in
+    first-occurrence row order and the row -> value codes, ``None`` when
+    every row is distinct.
+    """
+    rids = np.asarray(record_ids, dtype=np.int64)
+    starts = np.cumsum([0, *map(len, attribute_vectors)])
+    bases = np.cumsum([0, *dictionary_sizes])
+    if len(rids) and (rids.min() < 0 or rids.max() >= starts[-1] + delta_rows):
+        raise QueryError("RecordID out of range")
+    # A row's key is its store's dictionary base plus its entry, so keys
+    # are equal exactly when two rows reference the same dictionary entry.
+    stores = np.searchsorted(starts, rids, side="right") - 1
+    keys = np.empty(len(rids), dtype=np.int64)
+    for store in np.unique(stores).tolist():
+        rows = stores == store
+        local = rids[rows] - starts[store]
+        if store < len(attribute_vectors):
+            local = attribute_vectors[store][local]
+        keys[rows] = bases[store] + local
+    unique, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    ordered = unique[order]
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    codes = rank[inverse]
+    entry_stores = stores[first[order]]
+    used_stores = np.unique(entry_stores).tolist()
+    if len(used_stores) == 1 and used_stores[0] < len(attribute_vectors):
+        # The entries of one partition dictionary hold distinct values.
+        (store,) = used_stores
+        values = fetch(store, ordered - bases[store])
+    else:
+        values = [None] * len(ordered)
+        for store in used_stores:
+            positions = np.flatnonzero(entry_stores == store)
+            fetched = fetch(store, ordered[positions] - bases[store])
+            for position, value in zip(positions.tolist(), fetched):
+                values[position] = value
+        # Entries of different stores may still hold equal values (each
+        # plaintext partition has its own dictionary, delta rows none).
+        index: dict = {}
+        remap = [index.setdefault(value, len(index)) for value in values]
+        if len(index) < len(values):
+            values = list(index)
+            codes = np.asarray(remap, dtype=np.int64)[codes]
+    if len(values) == len(rids):
+        return values, None
+    return values, codes.astype(code_dtype(len(values)))
 
 
 class Executor:
@@ -319,25 +383,43 @@ class Executor:
     def select(self, plan: SelectPlan) -> ServerResult:
         table = self._catalog.table(plan.table)
         record_ids = self.filter_record_ids(table, plan.filter)
-        result = ServerResult(table_name=table.name, record_ids=record_ids)
-        for name in plan.needed_columns:
-            result.columns[name] = self._render_column(table, name, record_ids)
-        return result
+        return self._render_rows(plan, table, record_ids)
 
     def _render_column(
         self, table: Table, name: str, record_ids: np.ndarray
     ) -> ResultColumn:
         column = table.column(name)
         if isinstance(column, PlainStoredColumn):
-            data: list[Any] = [column.value_at(int(rid)) for rid in record_ids]
-            return ResultColumn(table.name, name, encrypted=False, data=data)
+            parts = list(column.partitions)
+            delta_values = list(column.delta_values)
+
+            def fetch_plain(store: int, entries: np.ndarray) -> list:
+                source = parts[store].dictionary if store < len(parts) else delta_values
+                return [source[entry] for entry in entries.tolist()]
+
+            values, codes = _dictionary_encode(
+                record_ids,
+                [part.attribute_vector for part in parts],
+                [len(part.dictionary) for part in parts],
+                len(delta_values),
+                fetch_plain,
+            )
+            return ResultColumn(table.name, name, False, values, codes)
         builds, delta_blobs, key_epoch = column.render_view()
-        blobs = [
-            column.blob_at(int(rid), builds, delta_blobs) for rid in record_ids
-        ]
-        return ResultColumn(
-            table.name, name, encrypted=True, data=blobs, key_epoch=key_epoch
+
+        def fetch_blobs(store: int, entries: np.ndarray) -> list:
+            if store < len(builds):
+                return builds[store].dictionary.entries_at(entries)
+            return [delta_blobs[entry] for entry in entries.tolist()]
+
+        values, codes = _dictionary_encode(
+            record_ids,
+            [build.attribute_vector for build in builds],
+            [len(build.dictionary) for build in builds],
+            len(delta_blobs),
+            fetch_blobs,
         )
+        return ResultColumn(table.name, name, True, values, codes, key_epoch)
 
     # ------------------------------------------------------------------
     # Analytics pushdown (PR 9)

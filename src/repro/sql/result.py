@@ -1,9 +1,11 @@
 """Result rendering (paper §4.2 steps 12-13).
 
-The server's result renderer undoes the dictionary split for every matching
-RecordID — ``eC = (eD[AV[i]] for i in rid)`` — and attaches the table and
-column metadata the proxy needs to derive each column's key and decrypt.
-Encrypted columns come back as PAE blobs, plaintext columns as values.
+The server's result renderer resolves every matching RecordID to its
+dictionary entry — ``eC = (eD[AV[i]] for i in rid)`` — and ships the column
+dictionary-encoded, as the paper stores it: each distinct entry once plus a
+row -> entry code vector. It attaches the table and column metadata the
+proxy needs to derive each column's key and decrypt. Encrypted columns come
+back as PAE blobs, plaintext columns as values.
 """
 
 from __future__ import annotations
@@ -14,21 +16,47 @@ from typing import Any
 import numpy as np
 
 
+def code_dtype(distinct: int) -> np.dtype:
+    """The narrowest unsigned dtype whose codes can index ``distinct`` values."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if distinct <= np.iinfo(dtype).max + 1:
+            return np.dtype(dtype)
+    return np.dtype(np.uint64)
+
+
 @dataclass
 class ResultColumn:
-    """One rendered column of a result set."""
+    """One rendered column of a result set, dictionary-encoded.
+
+    Row ``i`` of the column is ``values[codes[i]]``. ``values`` holds each
+    distinct PAE blob (``encrypted``) or plaintext value once, in
+    first-occurrence row order, so the frame is exactly the row-order list
+    with equal entries deduplicated — blob equality is visible in the
+    row-order list anyway, so the encoding tells no observer anything new.
+    """
 
     table_name: str
     column_name: str
     encrypted: bool
-    #: PAE blobs when ``encrypted`` else plaintext values, one per result row.
-    data: list
+    #: Distinct PAE blobs when ``encrypted`` else distinct plaintext values.
+    values: list
+    #: Row -> index into ``values`` (1-D unsigned ndarray); ``None`` means
+    #: one distinct value per row, in row order.
+    codes: np.ndarray | None = None
     #: Storage-key epoch the blobs are sealed under (0 until a key rotation
     #: has finalized); the proxy derives the matching column key from it.
     key_epoch: int = 0
 
     def __len__(self) -> int:
-        return len(self.data)
+        return len(self.values) if self.codes is None else len(self.codes)
+
+    def expand(self, values: list | None = None) -> list:
+        """Row-order list of ``values`` (default: this column's values)
+        under this column's codes — the proxy expands decrypted values."""
+        values = self.values if values is None else values
+        if self.codes is None:
+            return list(values)
+        return list(map(values.__getitem__, self.codes.tolist()))
 
 
 @dataclass

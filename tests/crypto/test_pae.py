@@ -111,3 +111,41 @@ def test_roundtrip_property_pure_backend(plaintext: bytes, aad: bytes):
     pae = PurePythonPae(rng=HmacDrbg(b"prop"))
     key = pae_gen(rng=HmacDrbg(b"k"))
     assert pae.decrypt(key, pae.encrypt(key, plaintext, aad), aad) == plaintext
+
+
+def test_library_open_matches_pure_backend():
+    """Single and batch opens of the library backend return exactly what the
+    pure backend returns, for blobs sealed by either backend."""
+    try:
+        library = LibraryPae(rng=HmacDrbg(b"l"))
+    except CryptoError:  # pragma: no cover
+        pytest.skip("cryptography library not available")
+    pure = PurePythonPae(rng=HmacDrbg(b"p"))
+    key = pae_gen(rng=HmacDrbg(b"k"))
+    plaintexts = [b"", b"x", b"sixteen-byte-msg", bytes(range(200))]
+    for aad in (b"", b"column"):
+        blobs = [pure.encrypt(key, p, aad) for p in plaintexts] + library.encrypt_many(
+            key, plaintexts, aad
+        )
+        expected = plaintexts + plaintexts
+        assert [library.decrypt(key, blob, aad) for blob in blobs] == expected
+        assert [pure.decrypt(key, blob, aad) for blob in blobs] == expected
+        assert library.decrypt_many(key, blobs, aad) == expected
+        assert pure.decrypt_many(key, blobs, aad) == expected
+
+
+@pytest.mark.parametrize(
+    "bit",
+    [0, 11 * 8 + 7, 12 * 8, 15 * 8 + 3, -16 * 8, -1],
+    ids=["iv-first", "iv-last", "ct-first", "ct-mid", "tag-first", "tag-last"],
+)
+def test_one_bit_flip_rejected_single_and_batch(any_pae, bit):
+    key = pae_gen(rng=HmacDrbg(b"k"))
+    good = any_pae.encrypt(key, b"sixteen-byte-msg")
+    blob = bytearray(good)
+    position = bit // 8 if bit >= 0 else len(blob) + bit // 8
+    blob[position] ^= 1 << (bit % 8)
+    with pytest.raises(AuthenticationError):
+        any_pae.decrypt(key, bytes(blob))
+    with pytest.raises(AuthenticationError):
+        any_pae.decrypt_many(key, [good, bytes(blob)])

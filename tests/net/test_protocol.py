@@ -153,13 +153,17 @@ def test_server_result_roundtrip():
         table_name="t",
         record_ids=np.array([3, 1, 4], dtype=np.int64),
         columns={
-            "c": ResultColumn("t", "c", True, [b"ct-1", b"ct-2", b"ct-3"]),
+            "c": ResultColumn(
+                "t", "c", True, [b"ct-1", b"ct-2"], np.array([0, 1, 0], dtype=np.uint8)
+            ),
         },
     )
     decoded = roundtrip(result)
     assert np.array_equal(decoded.record_ids, result.record_ids)
+    assert decoded.record_ids.dtype == np.int64
     assert decoded.columns["c"].encrypted is True
-    assert decoded.columns["c"].data == [b"ct-1", b"ct-2", b"ct-3"]
+    assert decoded.columns["c"].values == [b"ct-1", b"ct-2"]
+    assert decoded.columns["c"].expand() == [b"ct-1", b"ct-2", b"ct-1"]
 
 
 def test_unregistered_type_rejected_on_encode():

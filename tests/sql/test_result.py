@@ -35,6 +35,11 @@ def test_column_extraction():
 def test_server_result_row_count():
     result = ServerResult("t", np.array([3, 7], dtype=np.int64))
     assert result.row_count == 2
-    column = ResultColumn("t", "c", encrypted=True, data=[b"x", b"y"])
+    column = ResultColumn("t", "c", encrypted=True, values=[b"x", b"y"])
     result.columns["c"] = column
     assert len(result.columns["c"]) == 2
+    coded = ResultColumn(
+        "t", "c", encrypted=True, values=[b"x"], codes=np.zeros(2, dtype=np.uint8)
+    )
+    assert len(coded) == 2
+    assert coded.expand() == [b"x", b"x"]

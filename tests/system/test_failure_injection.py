@@ -69,10 +69,11 @@ def test_swapped_result_blob_detected_at_proxy(system):
 
     def substitute(plan):
         result = original(plan)
-        score_column = system.server.catalog.table("t").column("score")
+        score_build = system.server.catalog.table("t").column("score").partition_builds[0]
+        foreign_blob = score_build.dictionary.entries_at(score_build.attribute_vector[:1])[0]
         for column in result.columns.values():
-            if column.encrypted and column.data:
-                column.data[0] = score_column.blob_at(0)
+            if column.encrypted and column.values:
+                column.values[0] = foreign_blob
         return result
 
     system.server.execute_select = substitute
