@@ -15,14 +15,15 @@ This pass makes those contracts *data* and machine-checks them:
   enclave entry point cannot ship without stating its leakage. A declared
   contract whose shaping helpers never appear in the body is an error too
   (``unshaped-response``): the promise exists but is not applied.
-- :data:`VERB_CONTRACTS` does the same for the wire surface: every key of
-  ``repro.net.server.RPC_METHODS`` must carry a contract, and the server
-  module must route failures through ``redact_exception`` (the error-frame
-  shaping all verbs share).
+- :data:`VERB_CONTRACTS` does the same for the wire surface. It is built
+  from :data:`repro.net.verbs.VERBS`, the table the server dispatches
+  from, so every wire verb carries a contract by construction; the pass
+  checks that each one states its observables and that the server module
+  routes failures through ``redact_exception`` (the error-frame shaping
+  all verbs share).
 
-``tests/analysis/test_leakage_contracts.py`` pins both registries against
-the runtime (``ECALL_CONTRACTS`` keys == ``REGISTERED_ECALLS``;
-``VERB_CONTRACTS`` keys == the live ``RPC_METHODS``), so registry drift
+``tests/analysis/test_leakage_contracts.py`` pins ``ECALL_CONTRACTS``
+against the runtime (its keys == ``REGISTERED_ECALLS``), so registry drift
 fails CI from both directions.
 """
 
@@ -37,9 +38,10 @@ from repro.analysis.findings import (
     Finding,
 )
 from repro.analysis.taint import is_ecall_def
+from repro.net.verbs import VERBS
 
 SERVER_MODULE = "repro.net.server"
-RPC_TABLE_NAME = "RPC_METHODS"
+VERB_TABLE_NAME = "VERBS"
 ERROR_SHAPER = "redact_exception"
 
 
@@ -61,10 +63,6 @@ class LeakageContract:
 
 def _ecall(name: str, observables: str, *shaping: str) -> tuple[str, LeakageContract]:
     return name, LeakageContract(name, "ecall", observables, shaping)
-
-
-def _verb(name: str, observables: str, *shaping: str) -> tuple[str, LeakageContract]:
-    return name, LeakageContract(name, "verb", observables, shaping)
 
 
 #: Per-ecall leakage contracts. Keys are asserted equal to
@@ -161,59 +159,13 @@ ECALL_CONTRACTS: dict[str, LeakageContract] = dict(
     ]
 )
 
-#: Per-wire-verb leakage contracts. Keys are asserted equal to the live
-#: ``repro.net.server.RPC_METHODS`` keys by the test suite. All verbs share
-#: the error-frame contract (typed kind + scrubbed message via
-#: ``redact_exception``); ``shaping`` lists any additional helper the
-#: server module must reference for that verb family.
-VERB_CONTRACTS: dict[str, LeakageContract] = dict(
-    [
-        _verb("create_table", "schema shape (names, kinds, widths)"),
-        _verb("bulk_load", "ciphertext partition sizes and counts"),
-        _verb(
-            "execute_select",
-            "result frame byte size; per column the distinct-ciphertext "
-            "count plus row codes — a deterministic re-encoding of the "
-            "row-order blobs",
-        ),
-        _verb(
-            "execute_select_pushdown",
-            "padded group-frame count and uniform frame size (see "
-            "aggregate_groups)",
-        ),
-        _verb(
-            "explain_pushdown",
-            "plan routing text — operator names and cost classes only, "
-            "never values",
-        ),
-        _verb(
-            "execute_join_select",
-            "joined result frame byte size; per column the "
-            "distinct-ciphertext count plus row codes — a deterministic "
-            "re-encoding of the row-order blobs",
-        ),
-        _verb("execute_insert", "one ack; delta append count"),
-        _verb("execute_delete", "deleted-row count"),
-        _verb("delete_record_ids", "deleted-row count"),
-        _verb("execute_merge", "merged partition count"),
-        _verb("save", "snapshot byte size on the server disk"),
-        _verb("table_names", "table name list (schema is not protected)"),
-        _verb("table_specs", "schema shape per table"),
-        _verb("cost_snapshot", "aggregate ecall/decrypt counters"),
-        _verb("enclave_seal", "one fixed-size sealed blob"),
-        _verb("enclave_restore", "one ack"),
-        _verb(
-            "enclave_replicate_key",
-            "one DH public value + one fixed-size PAE blob (relay-opaque)",
-        ),
-        _verb("enclave_is_provisioned", "one boolean"),
-        _verb("migrate_start", "typed MigrationStatus progress frame"),
-        _verb("migrate_step", "typed MigrationStatus progress frame"),
-        _verb("migrate_run", "typed MigrationStatus progress frame"),
-        _verb("migrate_status", "typed MigrationStatus progress frame"),
-        _verb("migrate_rollback", "typed MigrationStatus progress frame"),
-    ]
-)
+#: Per-wire-verb leakage contracts, one per entry of the verb table. All
+#: verbs share the error-frame contract (typed kind + scrubbed message via
+#: ``redact_exception``); none needs a further shaping helper.
+VERB_CONTRACTS: dict[str, LeakageContract] = {
+    name: LeakageContract(name, "verb", verb.observables, ())
+    for name, verb in VERBS.items()
+}
 
 
 def _body_names(node: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
@@ -282,37 +234,24 @@ def check(tree: ast.AST, *, module: str, path: str) -> list[Finding]:
                     helper,
                 )
 
-    # ---- verb contracts: the wire table carries no unknown verbs -----
+    # ---- verb contracts: every verb states its observables, and the
+    # server shapes every verb's error frames -------------------------
+    # A snippet merely *claiming* the server module name (fixtures,
+    # unit-test sources) is not the wire surface; anchor the checks on the
+    # module dispatching from the verb table.
     if module == SERVER_MODULE:
-        found_table = False
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Assign):
-                continue
-            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            if RPC_TABLE_NAME not in targets or not isinstance(node.value, ast.Dict):
-                continue
-            found_table = True
-            for key in node.value.keys:
-                if not isinstance(key, ast.Constant) or not isinstance(
-                    key.value, str
-                ):
-                    continue
-                verb = key.value
-                if verb not in VERB_CONTRACTS:
-                    report(
-                        RULE_UNDECLARED_CONTRACT,
-                        key.lineno,
-                        f"wire verb {verb!r} has no declared leakage "
-                        "contract; add one to analysis.leakage."
-                        "VERB_CONTRACTS before exposing it",
-                        verb,
-                    )
-        # A snippet merely *claiming* the server module name (fixtures,
-        # unit-test sources) is not the wire surface; anchor the
-        # module-wide shaping checks on the RPC table being present.
-        if not found_table:
-            return findings
         module_refs = _module_names(tree)
+        if VERB_TABLE_NAME not in module_refs:
+            return findings
+        for verb, contract in VERB_CONTRACTS.items():
+            if not contract.observables.strip():
+                report(
+                    RULE_UNDECLARED_CONTRACT,
+                    1,
+                    f"wire verb {verb!r} declares no observables; state "
+                    "what the provider may see in repro.net.verbs.VERBS",
+                    verb,
+                )
         if ERROR_SHAPER not in module_refs:
             report(
                 RULE_UNSHAPED_RESPONSE,
@@ -321,15 +260,5 @@ def check(tree: ast.AST, *, module: str, path: str) -> list[Finding]:
                 "verb's error path must emit typed, scrubbed error frames",
                 ERROR_SHAPER,
             )
-        for verb, contract in VERB_CONTRACTS.items():
-            for helper in contract.shaping:
-                if helper not in module_refs:
-                    report(
-                        RULE_UNSHAPED_RESPONSE,
-                        1,
-                        f"wire verb {verb!r} declares shaping helper "
-                        f"{helper!r} but the server never references it",
-                        helper,
-                    )
 
     return findings

@@ -42,6 +42,7 @@ from repro.net.client import (
     RetryPolicy,
     _RemoteTable,
 )
+from repro.net.verbs import VERBS
 from repro.runtime import CLUSTER_POOL, shared_pool
 from repro.sql.result import (
     AggregateFrames,
@@ -572,15 +573,11 @@ class ClusterRouter:
         """
         table_name = getattr(plan, "table", None)
         if table_name is None:
-            return tuple(self.group(0).call("explain_pushdown", plan))
+            return self.group(0).call("explain_pushdown", plan)
         targets = self._read_targets(table_name)
         per_shard = self._scatter(
             [
-                (
-                    lambda group=group: tuple(
-                        group.call("explain_pushdown", plan)
-                    )
-                )
+                (lambda group=group: group.call("explain_pushdown", plan))
                 for _span, group in targets
             ]
         )
@@ -694,20 +691,6 @@ class ClusterRouter:
             return self.groups[0]
         return self.groups[assignment.last_span().shard_id]
 
-    def execute_insert(self, table_name: str, prepared_rows: list[dict]) -> int:
-        return self._tail_group(table_name).broadcast(
-            "execute_insert", table_name, prepared_rows
-        )
-
-    def execute_delete(self, plan) -> int:
-        counts = self._scatter(
-            [
-                (lambda group=group: group.broadcast("execute_delete", plan))
-                for _span, group in self._read_targets(plan.table)
-            ]
-        )
-        return sum(counts)
-
     def delete_record_ids(self, table_name: str, record_ids) -> int:
         assignment = self._assignment(table_name)
         if assignment is None:
@@ -726,15 +709,6 @@ class ClusterRouter:
                 "delete_record_ids", table_name, local_ids
             )
         return deleted
-
-    def execute_merge(self, plan) -> int:
-        counts = self._scatter(
-            [
-                (lambda group=group: group.broadcast("execute_merge", plan))
-                for _span, group in self._read_targets(plan.table)
-            ]
-        )
-        return sum(counts)
 
     # ------------------------------------------------------------------
     # Online rotation (repro.migrate): every replica of every populated
@@ -776,35 +750,6 @@ class ClusterRouter:
                 statuses.extend(value if isinstance(value, list) else [value])
         return statuses
 
-    def migrate_start(
-        self,
-        table_name: str,
-        column_name: str,
-        *,
-        new_kind: str | None = None,
-        rotate_key: bool = False,
-    ) -> list:
-        return self._migrate_scatter(
-            table_name,
-            "migrate_start",
-            table_name,
-            column_name,
-            new_kind=new_kind,
-            rotate_key=rotate_key,
-        )
-
-    def migrate_step(
-        self, table_name: str, column_name: str, steps: int = 1
-    ) -> list:
-        return self._migrate_scatter(
-            table_name, "migrate_step", table_name, column_name, steps
-        )
-
-    def migrate_run(self, table_name: str, column_name: str) -> list:
-        return self._migrate_scatter(
-            table_name, "migrate_run", table_name, column_name
-        )
-
     def migrate_status(
         self, table_name: str | None = None, column_name: str | None = None
     ) -> list:
@@ -815,11 +760,6 @@ class ClusterRouter:
             return statuses
         return self._migrate_scatter(
             table_name, "migrate_status", table_name, column_name, strict=False
-        )
-
-    def migrate_rollback(self, table_name: str, column_name: str) -> list:
-        return self._migrate_scatter(
-            table_name, "migrate_rollback", table_name, column_name
         )
 
     def explain_migrations(self, plan) -> list:
@@ -849,10 +789,6 @@ class ClusterRouter:
     # ------------------------------------------------------------------
     # DDL and bulk import
     # ------------------------------------------------------------------
-    def create_table(self, plan) -> None:
-        for group in self.groups:
-            group.broadcast("create_table", plan)
-
     def bulk_load_stream(self, table_name: str, partitions: Iterable) -> int:
         """Deploy a partition stream according to the table's assignment.
 
@@ -917,12 +853,6 @@ class ClusterRouter:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def table_names(self) -> list[str]:
-        return self.group(0).call("table_names")
-
-    def table_specs(self, table_name: str) -> tuple:
-        return tuple(self.group(0).call("table_specs", table_name))
-
     def cost_snapshot(self) -> dict:
         """Aggregate enclave cost counters over every shard primary."""
         shard_snapshots = [
@@ -957,3 +887,70 @@ class ClusterRouter:
     def close(self) -> None:
         for group in self.groups:
             group.close()
+
+
+# ----------------------------------------------------------------------
+# Forwarders derived from the verb table: one per declared fan-out policy
+# (see ``repro.net.verbs.Verb``). ``"custom"`` verbs are the hand-written
+# methods above; verbs without a policy are not routed.
+# ----------------------------------------------------------------------
+def _primary(name: str) -> Callable:
+    def forward(self, *args: Any, **kwargs: Any) -> Any:
+        return self.group(0).call(name, *args, **kwargs)
+
+    return forward
+
+
+def _every_shard(name: str) -> Callable:
+    def forward(self, *args: Any, **kwargs: Any) -> None:
+        for group in self.groups:
+            group.broadcast(name, *args, **kwargs)
+
+    return forward
+
+
+def _tail(name: str) -> Callable:
+    # Inserts go to the shard holding the table's tail, keeping delta
+    # RecordIDs globally contiguous.
+    def forward(self, table_name: str, *args: Any, **kwargs: Any) -> Any:
+        return self._tail_group(table_name).broadcast(
+            name, table_name, *args, **kwargs
+        )
+
+    return forward
+
+
+def _scatter_sum(name: str) -> Callable:
+    def forward(self, plan, *args: Any, **kwargs: Any) -> int:
+        counts = self._scatter(
+            [
+                (lambda group=group: group.broadcast(name, plan, *args, **kwargs))
+                for _span, group in self._read_targets(plan.table)
+            ]
+        )
+        return sum(counts)
+
+    return forward
+
+
+def _migrate(name: str) -> Callable:
+    def forward(self, table_name: str, *args: Any, **kwargs: Any) -> list:
+        return self._migrate_scatter(table_name, name, table_name, *args, **kwargs)
+
+    return forward
+
+
+_FORWARDERS: dict[str, Callable[[str], Callable]] = {
+    "primary": _primary,
+    "every_shard": _every_shard,
+    "tail": _tail,
+    "scatter_sum": _scatter_sum,
+    "migrate": _migrate,
+}
+
+for _name, _verb in VERBS.items():
+    if _verb.cluster in _FORWARDERS:
+        _forward = _FORWARDERS[_verb.cluster](_name)
+        _forward.__name__ = _name
+        _forward.__qualname__ = f"ClusterRouter.{_name}"
+        setattr(ClusterRouter, _name, _forward)

@@ -92,22 +92,6 @@ class PlainStoredColumn:
         """Append one more main-store partition (streamed bulk load)."""
         self.partitions.append(DictionaryEncodedColumn.from_values(list(values)))
 
-    @property
-    def main(self) -> DictionaryEncodedColumn:
-        """Single-partition view, kept for pre-partitioning callers."""
-        if not self.partitions:
-            return DictionaryEncodedColumn([], np.empty(0, dtype=np.int64))
-        if len(self.partitions) == 1:
-            return self.partitions[0]
-        raise CatalogError(
-            f"column {self.spec.name} has {len(self.partitions)} partitions; "
-            "use .partitions"
-        )
-
-    @main.setter
-    def main(self, column: DictionaryEncodedColumn) -> None:
-        self.partitions = [column] if len(column) else []
-
     def __len__(self) -> int:
         return self.main_length + len(self.delta_values)
 
@@ -488,10 +472,8 @@ class EncryptedStoredColumn:
         labeled_results: Sequence[tuple[Any, SearchResult]],
         *,
         cost_model=None,
-        chunk_rows: int | None = None,
         max_workers: int | None = None,
         scan_cache: dict | None = None,
-        adaptive: bool | None = None,
     ) -> np.ndarray:
         """Turn the enclave's per-store :class:`SearchResult`\\ s into global
         RecordIDs (the untrusted ``AttrVectSearch`` half of a query).
@@ -551,9 +533,7 @@ class EncryptedStoredColumn:
                 build.attribute_vector,
                 result,
                 cost_model=cost_model,
-                chunk_rows=chunk_rows,
                 max_workers=max_workers,
-                adaptive=adaptive,
             )
             global_rids = rids + starts[index]
             if signature is not None:
@@ -569,7 +549,6 @@ class EncryptedStoredColumn:
                 ],
                 cost_model=cost_model,
                 max_workers=max_workers,
-                adaptive=adaptive,
             )
             for (slot, _, index, _, signature), rids in zip(pending, rids_list):
                 global_rids = rids + starts[index]
@@ -586,10 +565,8 @@ class EncryptedStoredColumn:
         tau: tuple[bytes, bytes],
         host: EnclaveHost,
         *,
-        chunk_rows: int | None = None,
         max_workers: int | None = None,
         scan_cache: dict | None = None,
-        adaptive: bool | None = None,
     ) -> np.ndarray:
         """Global RecordIDs matching the encrypted range ``τ``.
 
@@ -604,10 +581,8 @@ class EncryptedStoredColumn:
         return self.record_ids_from_results(
             labeled,
             cost_model=host.cost_model,
-            chunk_rows=chunk_rows,
             max_workers=max_workers,
             scan_cache=scan_cache,
-            adaptive=adaptive,
         )
 
     def partition_snapshot(self) -> list[BuildResult]:

@@ -78,13 +78,6 @@ class PartitionMap:
         self.starts = partition_starts(self.lengths)
         self.total_rows = sum(self.lengths)
 
-    def locate(self, record_id: int) -> tuple[int, int]:
-        """``(partition index, offset within partition)`` of a main rid."""
-        if not 0 <= record_id < self.total_rows:
-            raise IndexError(f"RecordID {record_id} outside main store")
-        index = int(np.searchsorted(self.starts, record_id, side="right")) - 1
-        return index, record_id - self.starts[index]
-
     def dirty_partitions(self, validity: np.ndarray) -> list[int]:
         """Partitions containing at least one cleared validity bit."""
         dirty = []

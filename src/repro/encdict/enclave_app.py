@@ -157,7 +157,7 @@ class EncDBDBEnclave(Enclave):
         # constant-memory tests untouched by PR 1's optimizations.
         self.fastpath = fastpath if fastpath is not None else FastPathConfig.disabled()
         self._entry_cache: EnclaveLruCache | None = None
-        if self.fastpath.entry_cache_enabled:
+        if self.fastpath.enabled:
             self._entry_cache = EnclaveLruCache(
                 budget_bytes=self.fastpath.dictionary_cache_bytes,
                 cost_model=self.cost_model,
@@ -342,7 +342,7 @@ class EncDBDBEnclave(Enclave):
         """
         if not self.protected_has(_MASTER_KEY):
             raise EnclaveSecurityError("master key has not been provisioned")
-        if not self.fastpath.key_cache_enabled:
+        if not self.fastpath.enabled:
             return derive_column_key(
                 self.protected_get(_MASTER_KEY), table_name, column_name, key_epoch
             )

@@ -210,16 +210,6 @@ class DictionaryAccessor:
             cache.put(cache_key, entry, cached_entry_footprint(blob, plaintext))
         return entry
 
-    def raw_value(self, index: int):
-        """Load entry ``index`` from untrusted memory and decode it."""
-        self.probes.append(index)
-        blob = self._dictionary.entry(index)
-        if self._cost is not None:
-            self._cost.record_untrusted_load()
-        if not self._dictionary.encrypted:
-            return self._dictionary.value_type.from_bytes(blob)
-        return self._decrypt_blob(blob).value
-
     @property
     def packed(self):
         """The attached packed-ordinal array, or ``None``."""

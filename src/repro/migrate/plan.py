@@ -71,10 +71,6 @@ class MigrationPlan:
     partition_count: int
     steps: tuple[MigrationStep, ...]
 
-    @property
-    def rotates_key(self) -> bool:
-        return self.new_key_epoch != self.old_key_epoch
-
     @classmethod
     def for_rotation(
         cls,

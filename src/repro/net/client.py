@@ -43,6 +43,7 @@ from repro.net.protocol import (
     encode_payload,
     read_frame,
 )
+from repro.net.verbs import VERBS
 
 #: ``tap(direction, frame_type, payload_bytes)`` — observes every frame
 #: payload this connection sends ("send") or receives ("recv"), *after*
@@ -342,19 +343,7 @@ class RemoteServer:
         self.connection.request(FrameType.PROVISION, {"blob": wire_blob})
         self.connection.hello["provisioned"] = True
 
-    def enclave_replicate_key(self, offer):
-        """Primary-side key replication (cluster PR 7): relay a replica
-        enclave's channel offer in; DH public + PAE-wrapped ``SKDB`` out.
-        The relay sees only those two opaque values."""
-        return self.connection.call("enclave_replicate_key", offer)
-
-    def enclave_is_provisioned(self) -> bool:
-        return bool(self.connection.call("enclave_is_provisioned"))
-
-    # -- DDL / import ------------------------------------------------------
-    def create_table(self, plan) -> None:
-        self.connection.call("create_table", plan)
-
+    # -- hand-written verbs (every other verb is a generated stub) -----
     def bulk_load(
         self,
         table_name: str,
@@ -372,85 +361,29 @@ class RemoteServer:
             },
         )
 
-    # -- query execution -----------------------------------------------------
-    def execute_select(self, plan):
-        return self.connection.call("execute_select", plan)
-
-    def execute_select_pushdown(self, plan):
-        """Routed SELECT (analytics pushdown, PR 9): decisions + either
-        padded aggregate frames or rendered ciphertext rows."""
-        return self.connection.call("execute_select_pushdown", plan)
-
-    def explain_pushdown(self, plan) -> tuple:
-        return tuple(self.connection.call("explain_pushdown", plan))
-
-    def execute_join_select(self, plan, salt: bytes):
-        return self.connection.call("execute_join_select", plan, salt)
-
-    def execute_insert(self, table_name: str, prepared_rows: list[dict]) -> int:
-        return self.connection.call("execute_insert", table_name, prepared_rows)
-
-    def execute_delete(self, plan) -> int:
-        return self.connection.call("execute_delete", plan)
-
-    def delete_record_ids(self, table_name: str, record_ids) -> int:
-        return self.connection.call("delete_record_ids", table_name, record_ids)
-
-    def execute_merge(self, plan) -> int:
-        return self.connection.call("execute_merge", plan)
-
-    # -- online rotation (repro.migrate) -----------------------------------
-    def migrate_start(
-        self,
-        table_name: str,
-        column_name: str,
-        *,
-        new_kind: str | None = None,
-        rotate_key: bool = False,
-    ):
-        return self.connection.call(
-            "migrate_start",
-            table_name,
-            column_name,
-            new_kind=new_kind,
-            rotate_key=rotate_key,
-        )
-
-    def migrate_step(self, table_name: str, column_name: str, steps: int = 1):
-        return self.connection.call("migrate_step", table_name, column_name, steps)
-
-    def migrate_run(self, table_name: str, column_name: str):
-        return self.connection.call("migrate_run", table_name, column_name)
-
-    def migrate_status(
-        self, table_name: str | None = None, column_name: str | None = None
-    ) -> list:
-        return self.connection.call("migrate_status", table_name, column_name)
-
-    def migrate_rollback(self, table_name: str, column_name: str):
-        return self.connection.call("migrate_rollback", table_name, column_name)
-
-    # -- introspection / persistence (server-side paths) ------------------
-    def table_names(self) -> list[str]:
-        return self.connection.call("table_names")
-
-    def table_specs(self, table_name: str) -> tuple:
-        return tuple(self.connection.call("table_specs", table_name))
-
-    def cost_snapshot(self) -> dict:
-        return self.connection.call("cost_snapshot")
-
     def save(self, path) -> None:
         self.connection.call("save", str(path))
 
-    def enclave_seal(self) -> bytes:
-        return self.connection.call("enclave_seal")
-
-    def enclave_restore(self, sealed_blob: bytes) -> None:
-        self.connection.call("enclave_restore", sealed_blob)
-
     def close(self) -> None:
         self.connection.close()
+
+
+def _verb_stub(name: str) -> Callable:
+    """One wire round trip for verb ``name``, as a ``RemoteServer`` method."""
+
+    def stub(self, *args: Any, **kwargs: Any) -> Any:
+        return self.connection.call(name, *args, **kwargs)
+
+    stub.__name__ = name
+    stub.__qualname__ = f"RemoteServer.{name}"
+    return stub
+
+
+# Real class attributes (not ``__getattr__``), so they can be looked up and
+# wrapped on the class like hand-written methods.
+for _name in VERBS:
+    if _name not in vars(RemoteServer):
+        setattr(RemoteServer, _name, _verb_stub(_name))
 
 
 class RemoteProxy(Proxy):

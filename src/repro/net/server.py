@@ -16,7 +16,7 @@ in-process deployment does not:
   free to accept frames from other sessions in the meantime. Bulk imports
   perform no ecalls at all (the owner ships finished ciphertext), so they
   run off the lock entirely — a long load never starves other sessions'
-  queries (:data:`LOCK_FREE_METHODS`).
+  queries (the ``lock_free`` verbs of :data:`~repro.net.verbs.VERBS`).
 - **One provisioning at a time.** The enclave holds a single handshake slot
   (offer → accept → provision), so the server grants it to one session at a
   time and reclaims it if that session disconnects mid-handshake.
@@ -51,62 +51,9 @@ from repro.net.protocol import (
     encode_payload,
     read_frame_async,
 )
+from repro.net.verbs import VERBS
 from repro.runtime import shutdown_pools
 from repro.server.dbms import EncDBDBServer
-
-#: RPC surface a remote proxy / data owner may invoke, mapped to the method
-#: name on :class:`EncDBDBServer`. Everything else is rejected — the wire
-#: cannot reach arbitrary attributes of the DBMS.
-RPC_METHODS: dict[str, str] = {
-    "create_table": "create_table",
-    "bulk_load": "bulk_load",
-    "execute_select": "execute_select",
-    # Analytics pushdown (PR 9): routed SELECT + its EXPLAIN counterpart.
-    "execute_select_pushdown": "execute_select_pushdown",
-    "explain_pushdown": "explain_pushdown",
-    "execute_join_select": "execute_join_select",
-    "execute_insert": "execute_insert",
-    "execute_delete": "execute_delete",
-    "delete_record_ids": "delete_record_ids",
-    "execute_merge": "execute_merge",
-    "save": "save",
-    "table_names": "table_names",
-    "table_specs": "table_specs",
-    "cost_snapshot": "cost_snapshot",
-    "enclave_seal": "enclave_seal",
-    "enclave_restore": "enclave_restore",
-    # Cluster key replication (primary side): hand SKDB to an attested
-    # replica enclave through a secure channel terminated inside both
-    # enclaves. The relay sees only a quote and PAE blobs.
-    "enclave_replicate_key": "enclave_replicate_key",
-    "enclave_is_provisioned": "enclave_is_provisioned",
-    # Online rotation (repro.migrate): typed MigrationStatus progress frames.
-    "migrate_start": "migrate_start",
-    "migrate_step": "migrate_step",
-    "migrate_run": "migrate_run",
-    "migrate_status": "migrate_status",
-    "migrate_rollback": "migrate_rollback",
-}
-
-#: RPC methods that run on worker threads *without* the ecall lock. Bulk
-#: imports perform no enclave calls at all (the owner ships finished
-#: ciphertext), so a long load cannot starve concurrent queries. Migration
-#: verbs DO cross the boundary, but deliberately run off the asyncio lock
-#: too: a ``migrate_run`` that held it would stall every query for the whole
-#: backfill. Correctness comes from the enclave's boundary lock (one thread
-#: inside per ecall) and the column's shadow lock (atomic swaps/flips), so a
-#: concurrent query waits at most one partition-sized critical section —
-#: the paper-style cost accounting may interleave while a rotation runs.
-LOCK_FREE_METHODS = frozenset(
-    {
-        "bulk_load",
-        "migrate_start",
-        "migrate_step",
-        "migrate_run",
-        "migrate_status",
-        "migrate_rollback",
-    }
-)
 
 
 @dataclass
@@ -442,24 +389,23 @@ class NetServer:
         self, session: Session, payload: dict
     ) -> tuple[FrameType, Any]:
         method = payload.get("method")
-        target = RPC_METHODS.get(method) if isinstance(method, str) else None
-        if target is None:
+        verb = VERBS.get(method) if isinstance(method, str) else None
+        if verb is None:
             raise ProtocolError(f"unknown rpc method {method!r}")
         args = payload.get("args", ())
         kwargs = payload.get("kwargs", {})
         if not isinstance(args, (list, tuple)) or not isinstance(kwargs, dict):
             raise ProtocolError("rpc args/kwargs malformed")
         session.queries += 1
-        if method in LOCK_FREE_METHODS:
+        # Resolved at call time, so a handler patched on the class or the
+        # instance is the one that runs.
+        handler = getattr(self.dbms, method)
+        if verb.lock_free:
             # No boundary crossing to serialize: run on a worker thread
             # while other sessions keep querying through the ecall lock.
-            value = await asyncio.to_thread(
-                getattr(self.dbms, target), *args, **kwargs
-            )
+            value = await asyncio.to_thread(handler, *args, **kwargs)
         else:
-            value = await self._run_ecall(
-                getattr(self.dbms, target), *args, **kwargs
-            )
+            value = await self._run_ecall(handler, *args, **kwargs)
         return FrameType.RESULT, {"value": value}
 
 

@@ -13,10 +13,10 @@ every query. This module provides the two knobs the fast path is built on:
   paging event. Enclave analytical engines live or die by amortizing
   transition and EPC-paging costs (DuckDB-SGX2; StealthDB caches decrypted
   state under a strict memory budget) — this is that lever.
-- :class:`FastPathConfig`, the single configuration object that switches
-  each fast-path layer (entry cache, derived-key cache, batched ecalls,
-  chunked parallel attribute-vector scans, scan-mask reuse) on or off. The
-  unoptimized paper-faithful path stays available behind
+- :class:`FastPathConfig`, the single configuration object whose master
+  switch turns the fast-path layers (entry cache, derived-key cache,
+  batched ecalls, parallel attribute-vector scans, scan-mask reuse) on or
+  off together. The unoptimized paper-faithful path stays available behind
   :meth:`FastPathConfig.disabled` so the Figure 8 numbers remain
   reproducible.
 
@@ -221,32 +221,25 @@ class EnclaveLruCache:
 
 @dataclass(frozen=True)
 class FastPathConfig:
-    """Configuration of the query fast path (PR 1).
+    """Configuration of the query fast path.
 
-    Every layer can be switched off individually; ``enabled=False`` turns
-    the whole fast path off at once, restoring the paper-faithful
-    one-ecall-per-filter, decrypt-every-probe behaviour that the Figure 8
+    ``enabled`` switches every layer at once: the in-enclave entry cache,
+    memoized column-key derivations, ``dict_search_batch`` planning of
+    multi-filter queries, scan-mask reuse across identical filters, and
+    scans that may fan out over ``scan_max_workers`` threads (whether they
+    do is decided per scan by :func:`repro.runtime.dispatch_decision`).
+    ``enabled=False`` restores the paper-faithful one-ecall-per-filter,
+    decrypt-every-probe, serial-scan behaviour that the Figure 8
     benchmarks reproduce.
     """
 
     enabled: bool = True
-    #: Memoize decrypted dictionary entries inside the enclave.
-    cache_dictionary_entries: bool = True
     #: EPC budget of the entry cache (charged against the 96 MiB model).
     dictionary_cache_bytes: int = 8 * 1024 * 1024
-    #: Memoize per-column ``SKD = DeriveKey(SKDB, tab, col)`` derivations.
-    cache_column_keys: bool = True
-    #: Plan multi-filter queries into one ``dict_search_batch`` ecall.
-    batch_ecalls: bool = True
-    #: Chunk large attribute-vector scans over a thread pool.
-    parallel_scan: bool = True
-    #: Rows per scan chunk; scans at or below this size stay single-shot.
-    scan_chunk_rows: int = 1 << 18
-    #: Worker threads for chunked scans. Defaults to the process-wide knob
-    #: (``ENCDBDB_SCAN_WORKERS``), which the build pipeline shares.
+    #: Worker threads scans (and merge preparation) may fan out over.
+    #: Defaults to the process-wide knob (``ENCDBDB_SCAN_WORKERS``), which
+    #: the build pipeline shares.
     scan_max_workers: int = field(default_factory=configured_workers)
-    #: Reuse scan results across identical filters on one column per query.
-    reuse_scan_masks: bool = True
     #: Decrypt-once packed-ordinal dictionaries + vectorized search kernels
     #: (``repro.encdict.kernels``). Logical cost accounting is unchanged.
     vectorized_kernels: bool = True
@@ -255,27 +248,6 @@ class FastPathConfig:
     def disabled(cls) -> "FastPathConfig":
         """The unoptimized baseline: every fast-path layer off."""
         return cls(enabled=False)
-
-    # Effective switches (the master flag gates every layer) -----------
-    @property
-    def entry_cache_enabled(self) -> bool:
-        return self.enabled and self.cache_dictionary_entries
-
-    @property
-    def key_cache_enabled(self) -> bool:
-        return self.enabled and self.cache_column_keys
-
-    @property
-    def batching_enabled(self) -> bool:
-        return self.enabled and self.batch_ecalls
-
-    @property
-    def parallel_scan_enabled(self) -> bool:
-        return self.enabled and self.parallel_scan and self.scan_max_workers > 1
-
-    @property
-    def scan_mask_reuse_enabled(self) -> bool:
-        return self.enabled and self.reuse_scan_masks
 
     @property
     def vectorized_kernels_enabled(self) -> bool:

@@ -208,11 +208,10 @@ class Executor:
         #: Layout-level counters of the most recent :meth:`merge`.
         self.last_merge_stats: MergeStats | None = None
 
-    def _scan_config(self) -> tuple[int | None, int | None]:
-        """``(chunk_rows, max_workers)`` for the attribute-vector scans."""
-        if self.fastpath.parallel_scan_enabled:
-            return self.fastpath.scan_chunk_rows, self.fastpath.scan_max_workers
-        return None, None
+    def _scan_workers(self) -> int:
+        """Workers a scan may fan out over (``runtime.dispatch_decision``
+        decides per scan whether it does); one on the paper-faithful path."""
+        return self.fastpath.scan_max_workers if self.fastpath.enabled else 1
 
     # ------------------------------------------------------------------
     # Filtering
@@ -224,7 +223,7 @@ class Executor:
         # Per-query state: batched enclave results keyed by filter leaf, and
         # a scan-mask cache shared by all filters on this query's columns.
         prepared = self._prepare_encrypted_searches(table, plan)
-        scan_cache = {} if self.fastpath.scan_mask_reuse_enabled else None
+        scan_cache = {} if self.fastpath.enabled else None
         return table.filter_valid(self._evaluate(table, plan, prepared, scan_cache))
 
     def _collect_encrypted_leaves(
@@ -245,10 +244,10 @@ class Executor:
         leaves (main and delta stores) and issues a single
         ``dict_search_batch`` boundary crossing, returning a map from leaf
         identity to its labeled :class:`SearchResult`\\ s. Returns ``None``
-        — meaning "use the per-leaf slow path" — when batching is off, no
+        — meaning "use the per-leaf slow path" — when the fast path is off, no
         enclave is attached, or the plan needs at most one search anyway.
         """
-        if not self.fastpath.batching_enabled or self._host is None:
+        if not self.fastpath.enabled or self._host is None:
             return None
         leaves: list[EncryptedRangeFilter] = []
         self._collect_encrypted_leaves(plan, leaves)
@@ -351,12 +350,11 @@ class Executor:
             )
         if self._host is None:
             raise QueryError("no enclave available for encrypted columns")
-        chunk_rows, max_workers = self._scan_config()
+        max_workers = self._scan_workers()
         if prepared is not None and id(plan) in prepared:
             matches = column.record_ids_from_results(
                 prepared[id(plan)],
                 cost_model=self._host.cost_model,
-                chunk_rows=chunk_rows,
                 max_workers=max_workers,
                 scan_cache=scan_cache,
             )
@@ -364,7 +362,6 @@ class Executor:
             matches = column.search_tau(
                 plan.tau,
                 self._host,
-                chunk_rows=chunk_rows,
                 max_workers=max_workers,
                 scan_cache=scan_cache,
             )
@@ -793,8 +790,7 @@ class Executor:
 
         # Same knob as the parallel scans; the disabled (paper-faithful)
         # configuration keeps the whole merge serial.
-        _, scan_workers = self._scan_config()
-        merge_workers = scan_workers if scan_workers is not None else 1
+        merge_workers = self._scan_workers()
         for name, column in zip(table.column_names, columns):
             if isinstance(column, PlainStoredColumn):
                 new_parts: list[DictionaryEncodedColumn | None] = []

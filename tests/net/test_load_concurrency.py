@@ -12,7 +12,7 @@ import threading
 import time
 
 from repro.client.session import EncDBDBSystem
-from repro.net.server import LOCK_FREE_METHODS
+from repro.net.verbs import VERBS
 
 
 def test_query_completes_while_large_load_is_in_flight(net_server):
@@ -71,7 +71,7 @@ def test_query_completes_while_large_load_is_in_flight(net_server):
 
 
 def test_bulk_load_is_declared_lock_free():
-    assert "bulk_load" in LOCK_FREE_METHODS
+    assert VERBS["bulk_load"].lock_free
     # Everything touching the enclave stays serialized.
-    assert "execute_select" not in LOCK_FREE_METHODS
-    assert "execute_merge" not in LOCK_FREE_METHODS
+    assert not VERBS["execute_select"].lock_free
+    assert not VERBS["execute_merge"].lock_free

@@ -104,27 +104,86 @@ def test_nonpositive_budget_rejected():
         EnclaveLruCache(budget_bytes=0)
 
 
-def test_fastpath_config_master_flag_gates_every_layer():
-    # The default worker count is host-clamped (1 on a single-core runner),
-    # so pin an explicit multi-worker config when asserting the gate.
-    on = FastPathConfig(scan_max_workers=2)
-    assert on.entry_cache_enabled
-    assert on.key_cache_enabled
-    assert on.batching_enabled
-    assert on.parallel_scan_enabled
-    assert on.scan_mask_reuse_enabled
-    assert on.vectorized_kernels_enabled
+def _run_fastpath_queries(monkeypatch, fastpath: FastPathConfig) -> dict:
+    """Run one two-filter query twice over a 3-partition ED3 column and
+    report what each fast-path layer observably did."""
+    from repro.client.session import EncDBDBSystem
+    from repro.columnstore import column as column_module
+    from repro.encdict import enclave_app, kernels
 
-    off = FastPathConfig.disabled()
-    assert not off.entry_cache_enabled
-    assert not off.key_cache_enabled
-    assert not off.batching_enabled
-    assert not off.parallel_scan_enabled
-    assert not off.scan_mask_reuse_enabled
-    assert not off.vectorized_kernels_enabled
+    calls: dict[str, int] = {}
+    scan_workers: set[int] = set()
 
-    single_worker = FastPathConfig(scan_max_workers=1)
-    assert not single_worker.parallel_scan_enabled
+    def spy(module, name: str, units=lambda args: 1) -> None:
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + units(args)
+            if "max_workers" in kwargs:
+                scan_workers.add(kwargs["max_workers"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    # A multi-partition scan counts one unit per partition job.
+    spy(column_module, "attr_vect_search_many", units=lambda args: len(args[0]))
+    spy(column_module, "attr_vect_search")
+    spy(enclave_app, "derive_column_key")
+    spy(kernels, "pack_ordinals")
+
+    system = EncDBDBSystem.create(seed=5, fastpath=fastpath)
+    system.execute("CREATE TABLE t (a ED3 INTEGER)")
+    system.bulk_load("t", {"a": list(range(12))}, partition_rows=4)
+    calls.clear()
+    scan_workers.clear()
+    cost = system.server.cost_model
+    ecalls_before = dict(cost.ecalls_by_name)
+    decryptions = []
+    for _ in range(2):
+        before = cost.decryptions
+        rows = system.query("SELECT a FROM t WHERE a >= 3 AND a >= 3").rows
+        assert sorted(row[0] for row in rows) == list(range(3, 12))
+        decryptions.append(cost.decryptions - before)
+    return {
+        "decryptions": decryptions,
+        "ecalls": {
+            name: count - ecalls_before.get(name, 0)
+            for name, count in cost.ecalls_by_name.items()
+            if count != ecalls_before.get(name, 0)
+        },
+        "derivations": calls.get("derive_column_key", 0),
+        "scans": calls.get("attr_vect_search_many", 0)
+        + calls.get("attr_vect_search", 0),
+        "scan_workers": scan_workers,
+        "packs": calls.get("pack_ordinals", 0),
+    }
+
+
+def test_fastpath_config_master_flag_gates_every_layer(monkeypatch):
+    # Two queries x two identical filters x three partitions.
+    off = _run_fastpath_queries(monkeypatch, FastPathConfig.disabled())
+    # No entry cache: the repeated query decrypts as much as the first.
+    assert off["decryptions"][0] == off["decryptions"][1] > 0
+    # One dict_search ecall per filter and partition, no batching.
+    assert off["ecalls"] == {"dict_search": 12}
+    # No key cache: one derivation per search.
+    assert off["derivations"] == 12
+    # No mask reuse: both identical filters scan every partition.
+    assert off["scans"] == 12
+    # Serial scans: no fan-out is ever offered to dispatch_decision.
+    assert off["scan_workers"] == {1}
+    # Scalar search kernels: nothing is packed.
+    assert off["packs"] == 0
+
+    # The default config with a pinned worker count (the default is
+    # host-clamped, 1 on a single-core runner).
+    on = _run_fastpath_queries(monkeypatch, FastPathConfig(scan_max_workers=2))
+    assert on["decryptions"][1] < on["decryptions"][0]
+    assert on["ecalls"] == {"dict_search_batch": 2}
+    assert on["derivations"] == 1
+    assert on["scans"] == 6
+    assert on["scan_workers"] == {2}
+    assert on["packs"] == 3
 
 
 def test_invalidate_prefix_evicts_one_partition():
